@@ -71,6 +71,17 @@ impl FlatServer {
         Ok(self.oracle.absorb(report)?)
     }
 
+    /// Removes one previously absorbed report — the exact inverse of
+    /// [`FlatServer::absorb`].
+    ///
+    /// # Errors
+    ///
+    /// Rejects reports `absorb` would reject, and reports that were
+    /// detectably never absorbed; state is unchanged on error.
+    pub fn retract(&mut self, report: &AnyReport) -> Result<(), RangeError> {
+        Ok(self.oracle.retract(report)?)
+    }
+
     /// Absorbs a whole cohort at once from its true histogram (the paper's
     /// statistically-equivalent simulation, §5).
     ///

@@ -177,6 +177,20 @@ impl HaarOueServer {
         Ok(self.levels[report.depth as usize].absorb(&report.inner)?)
     }
 
+    /// Removes one previously absorbed report from its level — the exact
+    /// inverse of [`HaarOueServer::absorb`].
+    ///
+    /// # Errors
+    ///
+    /// Rejects reports `absorb` would reject, and reports that were
+    /// detectably never absorbed; state is unchanged on error.
+    pub fn retract(&mut self, report: &HaarOueReport) -> Result<(), RangeError> {
+        if report.depth >= self.config.height {
+            return Err(RangeError::ReportShapeMismatch);
+        }
+        Ok(self.levels[report.depth as usize].retract(&report.inner)?)
+    }
+
     /// Absorbs a whole cohort (population-scale simulation; OUE noise is
     /// independent per cell, so the interleaved ± cell histogram feeds the
     /// exact binomial aggregate directly).

@@ -199,6 +199,20 @@ impl HaarHrrServer {
         Ok(self.levels[report.depth as usize].absorb(&report.inner)?)
     }
 
+    /// Removes one previously absorbed report from its level — the exact
+    /// inverse of [`HaarHrrServer::absorb`].
+    ///
+    /// # Errors
+    ///
+    /// Rejects reports `absorb` would reject, and reports that were
+    /// detectably never absorbed; state is unchanged on error.
+    pub fn retract(&mut self, report: &HaarHrrReport) -> Result<(), RangeError> {
+        if report.depth >= self.config.height {
+            return Err(RangeError::ReportShapeMismatch);
+        }
+        Ok(self.levels[report.depth as usize].retract(&report.inner)?)
+    }
+
     /// Absorbs a whole cohort from its true histogram (population-scale
     /// simulation: per-item multinomial scatter over levels, then the
     /// signed HRR aggregate simulation per level).

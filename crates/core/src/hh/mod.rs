@@ -272,6 +272,20 @@ impl HhServer {
         Ok(self.levels[report.depth as usize - 1].absorb(&report.inner)?)
     }
 
+    /// Removes one previously absorbed report from its level — the exact
+    /// inverse of [`HhServer::absorb`].
+    ///
+    /// # Errors
+    ///
+    /// Rejects reports `absorb` would reject, and reports that were
+    /// detectably never absorbed; state is unchanged on error.
+    pub fn retract(&mut self, report: &HhReport) -> Result<(), RangeError> {
+        if report.depth == 0 || report.depth > self.config.height {
+            return Err(RangeError::ReportShapeMismatch);
+        }
+        Ok(self.levels[report.depth as usize - 1].retract(&report.inner)?)
+    }
+
     /// Absorbs a whole cohort from its true histogram: every user samples
     /// a level and reports there, simulated exactly at population scale
     /// (per-item multinomial scatter over levels, then the level oracle's

@@ -204,6 +204,36 @@ impl HhSplitServer {
         Ok(())
     }
 
+    /// Removes one previously absorbed multi-level report — the exact
+    /// inverse of [`HhSplitServer::absorb`]. Validated up front like
+    /// `absorb`; should a level detect that the report was never absorbed,
+    /// the levels already retracted are restored, so state is unchanged
+    /// on every error.
+    ///
+    /// # Errors
+    ///
+    /// Rejects reports `absorb` would reject, and reports that were
+    /// detectably never absorbed.
+    pub fn retract(&mut self, report: &HhSplitReport) -> Result<(), RangeError> {
+        if report.layers.len() != self.config.height as usize {
+            return Err(RangeError::ReportShapeMismatch);
+        }
+        for (oracle, layer) in self.levels.iter().zip(&report.layers) {
+            oracle.validate(layer)?;
+        }
+        for (k, layer) in report.layers.iter().enumerate() {
+            if let Err(e) = self.levels[k].retract(layer) {
+                // Validated above, so re-absorbing the retracted levels
+                // cannot fail; it restores them exactly.
+                for (oracle, layer) in self.levels.iter_mut().zip(&report.layers).take(k) {
+                    oracle.absorb(layer)?;
+                }
+                return Err(e.into());
+            }
+        }
+        Ok(())
+    }
+
     /// Absorbs a cohort: every user contributes to every level, so each
     /// level oracle sees the *exact* node histogram (no level scatter).
     ///

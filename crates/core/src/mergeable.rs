@@ -53,6 +53,26 @@ pub trait MergeableServer: Clone + Send {
     /// Rejects reports whose shape does not match this server.
     fn absorb(&mut self, report: &Self::Report) -> Result<(), RangeError>;
 
+    /// Removes one report previously accumulated by
+    /// [`MergeableServer::absorb`] — its exact inverse on the integer
+    /// sufficient statistics:
+    ///
+    /// ```text
+    /// absorb(s, r).retract(r)  ==  s        (bit-for-bit)
+    /// ```
+    ///
+    /// This is what lets a service absorb an all-or-nothing batch straight
+    /// into live state: `absorb` fails before it mutates anything, so when
+    /// frame `i` is refused, retracting frames `0..i` restores the state
+    /// the batch found, with no staged copy of the accumulator.
+    ///
+    /// # Errors
+    ///
+    /// Rejects reports `absorb` would reject, and reports that were
+    /// detectably never absorbed (a count would go negative). State is
+    /// unchanged on error.
+    fn retract(&mut self, report: &Self::Report) -> Result<(), RangeError>;
+
     /// Adds another shard's accumulated state into this one.
     ///
     /// # Errors
@@ -104,6 +124,10 @@ impl MergeableServer for FlatServer {
         FlatServer::absorb(self, report)
     }
 
+    fn retract(&mut self, report: &Self::Report) -> Result<(), RangeError> {
+        FlatServer::retract(self, report)
+    }
+
     fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
         FlatServer::merge(self, other)
     }
@@ -118,6 +142,10 @@ impl MergeableServer for HhServer {
 
     fn absorb(&mut self, report: &Self::Report) -> Result<(), RangeError> {
         HhServer::absorb(self, report)
+    }
+
+    fn retract(&mut self, report: &Self::Report) -> Result<(), RangeError> {
+        HhServer::retract(self, report)
     }
 
     fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
@@ -136,6 +164,10 @@ impl MergeableServer for HhSplitServer {
         HhSplitServer::absorb(self, report)
     }
 
+    fn retract(&mut self, report: &Self::Report) -> Result<(), RangeError> {
+        HhSplitServer::retract(self, report)
+    }
+
     fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
         HhSplitServer::merge(self, other)
     }
@@ -150,6 +182,10 @@ impl MergeableServer for HaarHrrServer {
 
     fn absorb(&mut self, report: &Self::Report) -> Result<(), RangeError> {
         HaarHrrServer::absorb(self, report)
+    }
+
+    fn retract(&mut self, report: &Self::Report) -> Result<(), RangeError> {
+        HaarHrrServer::retract(self, report)
     }
 
     fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
@@ -168,6 +204,10 @@ impl MergeableServer for HaarOueServer {
         HaarOueServer::absorb(self, report)
     }
 
+    fn retract(&mut self, report: &Self::Report) -> Result<(), RangeError> {
+        HaarOueServer::retract(self, report)
+    }
+
     fn merge(&mut self, other: &Self) -> Result<(), RangeError> {
         HaarOueServer::merge(self, other)
     }
@@ -182,6 +222,10 @@ impl MergeableServer for Hh2dServer {
 
     fn absorb(&mut self, report: &Self::Report) -> Result<(), RangeError> {
         Hh2dServer::absorb(self, report)
+    }
+
+    fn retract(&mut self, report: &Self::Report) -> Result<(), RangeError> {
+        Hh2dServer::retract(self, report)
     }
 
     fn merge(&mut self, other: &Self) -> Result<(), RangeError> {

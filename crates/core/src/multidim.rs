@@ -284,6 +284,24 @@ impl Hh2dServer {
         Ok(self.grids[idx].absorb(&report.inner)?)
     }
 
+    /// Removes one previously absorbed report from its grid — the exact
+    /// inverse of [`Hh2dServer::absorb`].
+    ///
+    /// # Errors
+    ///
+    /// Rejects reports `absorb` would reject, and reports that were
+    /// detectably never absorbed; state is unchanged on error.
+    pub fn retract(&mut self, report: &Hh2dReport) -> Result<(), RangeError> {
+        if report.dx > self.config.height
+            || report.dy > self.config.height
+            || (report.dx, report.dy) == (0, 0)
+        {
+            return Err(RangeError::ReportShapeMismatch);
+        }
+        let idx = self.config.pair_index(report.dx, report.dy);
+        Ok(self.grids[idx].retract(&report.inner)?)
+    }
+
     /// Absorbs a cohort from its true 2-D histogram, flattened row-major
     /// (`counts[x·side + y]`).
     ///

@@ -24,8 +24,9 @@ pub enum OracleError {
         /// Domain the server expects.
         server: usize,
     },
-    /// A subtraction would drive an accumulator negative — the subtrahend
-    /// was never merged into this state, so removing it is meaningless.
+    /// A subtraction or retraction would drive an accumulator negative —
+    /// the subtrahend state (or retracted report) was never merged into
+    /// this state, so removing it is meaningless.
     SubtractUnderflow,
     /// Persisted accumulator state failed validation on load: wrong
     /// statistic length, or counts no sequence of absorbed reports could

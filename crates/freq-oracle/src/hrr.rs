@@ -282,6 +282,31 @@ impl Hrr {
         let scale = self.domain as f64 / (self.reports as f64 * (2.0 * self.p - 1.0));
         self.sums.iter().map(|&s| s as f64 * scale).collect()
     }
+
+    /// Removes one previously absorbed report — the exact inverse of
+    /// [`PointOracle::absorb`] (see [`crate::Oue::retract`]). The ±1 sums
+    /// are signed, so only the report count can witness a report that was
+    /// never absorbed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OracleError::ReportDomainMismatch`] exactly when `absorb`
+    /// would, and [`OracleError::SubtractUnderflow`] when no report has
+    /// been absorbed. The accumulator is unchanged on error.
+    pub fn retract(&mut self, report: &HrrReport) -> Result<(), OracleError> {
+        if report.domain != self.domain {
+            return Err(OracleError::ReportDomainMismatch {
+                report: report.domain,
+                server: self.domain,
+            });
+        }
+        if self.reports == 0 {
+            return Err(OracleError::SubtractUnderflow);
+        }
+        self.sums[report.index] -= i64::from(report.bit);
+        self.reports -= 1;
+        Ok(())
+    }
 }
 
 impl PointOracle for Hrr {

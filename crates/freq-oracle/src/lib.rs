@@ -177,6 +177,27 @@ impl AnyOracle {
         }
     }
 
+    /// Removes one previously absorbed report — the exact inverse of
+    /// [`PointOracle::absorb`], dispatched like it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OracleError::ReportDomainMismatch`] exactly when `absorb`
+    /// would and [`OracleError::SubtractUnderflow`] when the report cannot
+    /// have been absorbed. The accumulator is unchanged on error.
+    pub fn retract(&mut self, report: &AnyReport) -> Result<(), OracleError> {
+        match (self, report) {
+            (Self::Oue(o), AnyReport::Oue(r)) => o.retract(r),
+            (Self::Olh(o), AnyReport::Olh(r)) => o.retract(r),
+            (Self::Hrr(o), AnyReport::Hrr(r)) => o.retract(r),
+            (Self::Sue(o), AnyReport::Sue(r)) => o.retract(r),
+            (s, _) => Err(OracleError::ReportDomainMismatch {
+                report: 0,
+                server: s.domain(),
+            }),
+        }
+    }
+
     /// Which primitive this is.
     #[must_use]
     pub fn kind(&self) -> FrequencyOracle {

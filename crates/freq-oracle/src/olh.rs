@@ -169,6 +169,42 @@ impl Olh {
         self.reports -= other.reports;
         Ok(())
     }
+
+    /// Removes one previously absorbed report — the exact inverse of
+    /// [`PointOracle::absorb`] (see [`crate::Oue::retract`]): every item
+    /// the report supports loses one support count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OracleError::ReportDomainMismatch`] exactly when `absorb`
+    /// would, and [`OracleError::SubtractUnderflow`] if the report cannot
+    /// have been absorbed (no reports, or a supported item whose count is
+    /// zero). The accumulator is unchanged on error.
+    pub fn retract(&mut self, report: &OlhReport) -> Result<(), OracleError> {
+        if report.hash.range() != self.g {
+            return Err(OracleError::ReportDomainMismatch {
+                report: report.hash.range(),
+                server: self.g,
+            });
+        }
+        let supports = |j: usize| report.hash.eval(j) == report.value;
+        if self.reports == 0
+            || self
+                .support
+                .iter()
+                .enumerate()
+                .any(|(j, &s)| s == 0 && supports(j))
+        {
+            return Err(OracleError::SubtractUnderflow);
+        }
+        for (j, s) in self.support.iter_mut().enumerate() {
+            if supports(j) {
+                *s -= 1;
+            }
+        }
+        self.reports -= 1;
+        Ok(())
+    }
 }
 
 impl PointOracle for Olh {

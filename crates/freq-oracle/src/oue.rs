@@ -230,6 +230,57 @@ impl Oue {
         self.reports -= other.reports;
         Ok(())
     }
+
+    /// Removes one previously absorbed report — the exact inverse of
+    /// [`PointOracle::absorb`] on the integer counts. This is how an
+    /// all-or-nothing batch absorbed in place is rolled back when a later
+    /// frame is refused.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OracleError::ReportDomainMismatch`] exactly when `absorb`
+    /// would, and [`OracleError::SubtractUnderflow`] if the report cannot
+    /// have been absorbed (no reports, or a set bit whose count is zero).
+    /// The accumulator is unchanged on error.
+    pub fn retract(&mut self, report: &OueReport) -> Result<(), OracleError> {
+        if report.domain != self.domain {
+            return Err(OracleError::ReportDomainMismatch {
+                report: report.domain,
+                server: self.domain,
+            });
+        }
+        retract_bits(&mut self.counts, &mut self.reports, &report.bits)
+    }
+}
+
+/// Undoes one unary-encoded report's set-bit increments (OUE and SUE share
+/// the accumulator layout). Checks every decrement before applying any,
+/// so an underflow leaves `counts` and `reports` untouched.
+pub(crate) fn retract_bits(
+    counts: &mut [u64],
+    reports: &mut u64,
+    words: &[u64],
+) -> Result<(), OracleError> {
+    let set_bits = || {
+        words.iter().enumerate().flat_map(|(wi, &word)| {
+            let mut w = word;
+            std::iter::from_fn(move || {
+                (w != 0).then(|| {
+                    let j = wi * 64 + w.trailing_zeros() as usize;
+                    w &= w - 1;
+                    j
+                })
+            })
+        })
+    };
+    if *reports == 0 || set_bits().any(|j| counts[j] == 0) {
+        return Err(OracleError::SubtractUnderflow);
+    }
+    for j in set_bits() {
+        counts[j] -= 1;
+    }
+    *reports -= 1;
+    Ok(())
 }
 
 impl PointOracle for Oue {

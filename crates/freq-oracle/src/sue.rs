@@ -152,6 +152,24 @@ impl Sue {
         self.reports -= other.reports;
         Ok(())
     }
+
+    /// Removes one previously absorbed report — the exact inverse of
+    /// [`PointOracle::absorb`] (see [`crate::Oue::retract`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OracleError::ReportDomainMismatch`] exactly when `absorb`
+    /// would, and [`OracleError::SubtractUnderflow`] if the report cannot
+    /// have been absorbed. The accumulator is unchanged on error.
+    pub fn retract(&mut self, report: &OueReport) -> Result<(), OracleError> {
+        if report.domain() != self.domain {
+            return Err(OracleError::ReportDomainMismatch {
+                report: report.domain(),
+                server: self.domain,
+            });
+        }
+        crate::oue::retract_bits(&mut self.counts, &mut self.reports, report.words())
+    }
 }
 
 impl PointOracle for Sue {

@@ -157,3 +157,13 @@ pub(crate) fn report_type_name<R>() -> &'static str {
     let full = std::any::type_name::<R>();
     full.rsplit("::").next().unwrap_or(full)
 }
+
+/// Wraps why frame `index` of an all-or-nothing batch of `R` reports was
+/// refused into the [`ServiceError::BadFrame`] a producer sees.
+pub(crate) fn bad_frame<R>(index: usize, source: ServiceError) -> ServiceError {
+    ServiceError::BadFrame {
+        index,
+        report_type: report_type_name::<R>(),
+        source: Box::new(source),
+    }
+}

@@ -51,8 +51,8 @@
 //!
 //! ## Transport is a pure function
 //!
-//! A REPORT batch is absorbed via [`crate::LdpService::submit_batch`]
-//! (staged, all-or-nothing), which commits exactly the state a direct
+//! A REPORT batch is absorbed via [`crate::LdpService::submit_wire_batch`]
+//! (in place, all-or-nothing), which commits exactly the state a direct
 //! [`crate::LdpService::submit_frame`] loop would produce. Merging is
 //! exact and order-independent, so *any* interleaving of sessions across
 //! worker threads and shards yields the same merged state — the socket

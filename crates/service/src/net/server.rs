@@ -7,10 +7,10 @@
 //! message bodies are executed by a small worker pool against the shared
 //! backend — the worker count bounds CPU concurrency, not the session
 //! count, so a node holds as many sessions as it has file descriptors.
-//! Report batches land through the service's staged all-or-nothing batch
-//! paths, so a session is a pure transport: the state it leaves behind
-//! is bit-identical to calling [`LdpService::submit_frame`] in-process
-//! with the same frames.
+//! Report batches land through the service's all-or-nothing batch paths
+//! (absorbed in place, retracted whole on a refused frame), so a session
+//! is a pure transport: the state it leaves behind is bit-identical to
+//! calling [`LdpService::submit_frame`] in-process with the same frames.
 //!
 //! Shutdown is graceful and total: accepting stops, in-flight messages
 //! are executed and their replies flushed, half-received messages get
@@ -37,9 +37,9 @@ use crate::net::ops::OpsListener;
 use crate::net::poll::Poller;
 use crate::net::proto::{
     decode_report_frames, ClientMsg, DurableProgress, ErrorCode, Hello, HelloOk, Query, QueryOp,
-    QueryReply, QueryResult, RemoteError, ReportBatch, ReportFrames, ServerMsg, StatusReply,
-    MSG_HEALTH, MSG_METRICS, MSG_METRICS_RANGE, MSG_QUERY, MSG_REPLICATE, MSG_REPORT, MSG_SEAL,
-    MSG_STATUS, WIRE_EPOCH, WIRE_V1,
+    QueryReply, QueryResult, RemoteError, ReportFrames, ServerMsg, StatusReply, MSG_HEALTH,
+    MSG_METRICS, MSG_METRICS_RANGE, MSG_QUERY, MSG_REPLICATE, MSG_REPORT, MSG_SEAL, MSG_STATUS,
+    WIRE_EPOCH, WIRE_V1,
 };
 use crate::net::reactor::{
     Job, JobDone, JobQueue, PushSource, Reactor, ReactorKnobs, ReactorShared,
@@ -55,7 +55,6 @@ use crate::obs::{
 use crate::repl::cursor::ReplCursor;
 use crate::service::LdpService;
 use crate::snapshot::{RangeSnapshot, SnapshotSource};
-use crate::storage::store::decode_batch;
 use crate::storage::DurableService;
 use crate::window::EpochRing;
 use crate::wire::WireReport;
@@ -103,36 +102,13 @@ where
         }
     }
 
-    /// Decodes a batch under the negotiated wire version and absorbs it
-    /// all-or-nothing (through the WAL on durable backends). Returns the
-    /// number of frames absorbed.
-    fn absorb_batch(&self, wire_version: u8, batch: &ReportBatch) -> Result<u64, RemoteError> {
-        match self {
-            Self::Durable(d) => d
-                .ingest_batch(wire_version, batch.count, &batch.frames)
-                .map_err(service_error),
-            Self::Plain(s) => {
-                let tagged = decode_batch::<S::Report>(wire_version, batch.count, &batch.frames)
-                    .map_err(service_error)?;
-                let reports: Vec<S::Report> = tagged.into_iter().map(|(_, r)| r).collect();
-                s.submit_batch(&reports).map_err(service_error)?;
-                Ok(reports.len() as u64)
-            }
-            Self::Windowed(s) => {
-                let tagged = decode_batch::<S::Report>(wire_version, batch.count, &batch.frames)
-                    .map_err(service_error)?;
-                let n = tagged.len() as u64;
-                s.submit_epoch_batch(&tagged).map_err(service_error)?;
-                Ok(n)
-            }
-        }
-    }
-
-    /// Absorbs a REPORT batch straight from borrowed envelope bytes — the
-    /// zero-copy twin of [`Backend::absorb_batch`]. Frames are decoded one
-    /// at a time from subslices of `frames` and absorbed into a staged
-    /// shard clone, so a 256-frame batch costs no intermediate `Vec` of
-    /// reports and no copy of the frame bytes.
+    /// Absorbs a REPORT batch straight from borrowed envelope bytes under
+    /// the negotiated wire version, all-or-nothing (through the WAL on
+    /// durable backends), returning the number of frames absorbed. Frames
+    /// are decoded one at a time from subslices of `frames` and absorbed
+    /// in place into the locked shard, so a 256-frame batch costs no
+    /// intermediate `Vec` of reports, no copy of the frame bytes and no
+    /// copy of shard state.
     fn absorb_frames(
         &self,
         wire_version: u8,
@@ -873,7 +849,10 @@ where
                     observe(shared, span, job.session, MSG_REPORT, false, started);
                     continue;
                 }
-                match shared.backend.absorb_batch(h.wire_version, &batch) {
+                match shared
+                    .backend
+                    .absorb_frames(h.wire_version, batch.count, &batch.frames)
+                {
                     Ok(accepted) => {
                         obs.frames_absorbed.add(accepted);
                         replies.push(ServerMsg::ReportOk { accepted }.encode());

@@ -335,8 +335,13 @@ where
                 });
             }
         }
-        applied
-            .map_err(|e| format!("applying replicated records {start}..{expected} failed: {e}"))?;
+        if let Err((done, e)) = applied {
+            // The records before the refused one are applied and logged.
+            position.store(start + done as u64, Ordering::SeqCst);
+            return Err(format!(
+                "applying replicated records {start}..{expected} failed: {e}"
+            ));
+        }
         position.store(expected, Ordering::SeqCst);
         let leader = feed.leader_records();
         leader_records.store(leader, Ordering::SeqCst);

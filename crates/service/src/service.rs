@@ -29,9 +29,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Instant;
 
-use ldp_ranges::SubtractableServer;
+use ldp_ranges::{MergeableServer, SubtractableServer};
 
-use crate::error::ServiceError;
+use crate::error::{bad_frame, ServiceError};
 use crate::obs::instruments::{ServiceInstruments, ShardInstruments, WindowInstruments};
 use crate::obs::MetricsRegistry;
 use crate::snapshot::{RangeSnapshot, SnapshotSource};
@@ -109,13 +109,154 @@ fn lock<'a, T>(mutex: &'a Mutex<T>, what: &'static str) -> Result<MutexGuard<'a,
 }
 
 /// Locks a mutex for a read-only peek, recovering from poisoning. Sound
-/// here because every committed mutation of shard state is staged (built
-/// against a clone, swapped in whole), so even a poisoned shard holds a
-/// consistent value — at worst one report absorbed directly via
-/// [`LdpService::submit`] is partially counted, which the racy-read
-/// contracts of these paths already tolerate.
+/// here because batches absorb in place under the shard guard and a
+/// refused batch is fully retracted before that guard drops
+/// ([`absorb_in_place`]), so a shard is only ever observed between whole
+/// batches. Only a panic inside `absorb` (or `retract`) can leave part of
+/// a batch behind, and that poisons the shard lock: every writer and
+/// every snapshot refresh then fails with [`ServiceError::LockPoisoned`],
+/// and only these racy, read-only peeks still see the shard.
 fn lock_infallible<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A batch [`absorb_in_place`] can walk twice: once to absorb every
+/// report and, if one is refused, once more over the absorbed prefix to
+/// retract it.
+pub(crate) trait Batch<R> {
+    /// Feeds the reports, in order and with their epoch tags (`None` when
+    /// untagged), to `sink`: every report, validating the batch as a
+    /// whole, when `prefix` is `None`; only the first `n` — which an
+    /// earlier full walk already fed — when it is `Some(n)`.
+    ///
+    /// Returns the number of reports fed.
+    ///
+    /// # Errors
+    ///
+    /// A refusal, by the batch's own validation or by `sink`, surfaces as
+    /// [`ServiceError::BadFrame`] whose index is the number of reports fed
+    /// before it.
+    fn walk<F>(&self, prefix: Option<usize>, sink: F) -> Result<u64, ServiceError>
+    where
+        F: FnMut(Option<u64>, &R) -> Result<(), ServiceError>;
+}
+
+impl<R> Batch<R> for [R] {
+    fn walk<F>(&self, prefix: Option<usize>, mut sink: F) -> Result<u64, ServiceError>
+    where
+        F: FnMut(Option<u64>, &R) -> Result<(), ServiceError>,
+    {
+        let reports = &self[..prefix.unwrap_or(self.len())];
+        for (i, report) in reports.iter().enumerate() {
+            sink(None, report).map_err(|e| bad_frame::<R>(i, e))?;
+        }
+        Ok(reports.len() as u64)
+    }
+}
+
+impl<R> Batch<R> for [(Option<u64>, R)] {
+    fn walk<F>(&self, prefix: Option<usize>, mut sink: F) -> Result<u64, ServiceError>
+    where
+        F: FnMut(Option<u64>, &R) -> Result<(), ServiceError>,
+    {
+        let reports = &self[..prefix.unwrap_or(self.len())];
+        for (i, (epoch, report)) in reports.iter().enumerate() {
+            sink(*epoch, report).map_err(|e| bad_frame::<R>(i, e))?;
+        }
+        Ok(reports.len() as u64)
+    }
+}
+
+/// A REPORT batch still in its raw wire form: back-to-back frames of one
+/// wire version, decoded one at a time from borrowed bytes (and decoded
+/// again, from the same bytes, to retract a refused batch's prefix).
+pub(crate) struct WireFrames<'a> {
+    /// Negotiated wire version (v2 frames carry epoch tags).
+    pub wire_version: u8,
+    /// Declared frame count.
+    pub count: u64,
+    /// The raw frames.
+    pub frames: &'a [u8],
+}
+
+impl<R: WireReport> Batch<R> for WireFrames<'_> {
+    fn walk<F>(&self, prefix: Option<usize>, mut sink: F) -> Result<u64, ServiceError>
+    where
+        F: FnMut(Option<u64>, &R) -> Result<(), ServiceError>,
+    {
+        let sink = |epoch, report: R| sink(epoch, &report);
+        match prefix {
+            None => crate::wire::for_each_frame(self.wire_version, self.count, self.frames, sink),
+            Some(n) => {
+                crate::wire::walk_frames(self.wire_version, n as u64, &mut &*self.frames, sink)
+            }
+        }
+    }
+}
+
+/// Absorbs one all-or-nothing batch straight into `state`: the single
+/// ingest primitive under every batch path (the `LdpService` batch
+/// methods, durable ingest and follower apply through them, and recovery
+/// replay). No copy of `state` is taken. `absorb` fails before it mutates
+/// anything, so when report `i` is refused `state` holds exactly reports
+/// `0..i` on top of what it held before; those are retracted — re-walked
+/// from the same slice or the same borrowed bytes — before the error
+/// returns, leaving `state` bit-identical to before the call.
+///
+/// # Panics
+///
+/// If retracting an absorbed report fails, which cannot happen: `retract`
+/// inverts a successful `absorb` of the same report. Live callers hold
+/// `state` under a shard lock, so such a panic would poison it rather
+/// than let a half-absorbed batch be served.
+pub(crate) fn absorb_in_place<S, B>(
+    state: &mut S,
+    batch: &B,
+    mut absorb: impl FnMut(&mut S, Option<u64>, &S::Report) -> Result<(), ServiceError>,
+) -> Result<u64, ServiceError>
+where
+    S: MergeableServer,
+    B: Batch<S::Report> + ?Sized,
+{
+    let result = batch.walk(None, |epoch, report| absorb(state, epoch, report));
+    if let Err(ServiceError::BadFrame { index, .. }) = &result {
+        batch
+            .walk(Some(*index), |_, report| {
+                state.retract(report).map_err(Into::into)
+            })
+            .expect("retracting an absorbed batch prefix cannot fail");
+    }
+    result
+}
+
+/// Per-report absorb for unwindowed state: epoch tags are ignored.
+pub(crate) fn absorb_untagged<S: MergeableServer>(
+    state: &mut S,
+    _epoch: Option<u64>,
+    report: &S::Report,
+) -> Result<(), ServiceError> {
+    state.absorb(report).map_err(Into::into)
+}
+
+/// Per-report absorb for an epoch ring: the tag must name the open epoch
+/// ([`EpochRing::absorb_tagged`]'s rule), and the report lands in the open
+/// epoch without ever auto-sealing, so a refused batch can be retracted
+/// from the epoch it went into.
+pub(crate) fn absorb_in_open_epoch<S: SubtractableServer>(
+    ring: &mut EpochRing<S>,
+    epoch: Option<u64>,
+    report: &S::Report,
+) -> Result<(), ServiceError> {
+    ring.check_epoch(epoch)?;
+    MergeableServer::absorb(ring, report).map_err(Into::into)
+}
+
+/// What a refused wire batch adds to `frames_rejected`: the declared
+/// count, bounded by what the payload could physically hold (the smallest
+/// frame is 5 bytes) so a lying count cannot inflate an operator-visible
+/// counter.
+fn plausible_frames(count: u64, payload_len: usize) -> u64 {
+    count.min(payload_len as u64 / 5)
 }
 
 impl<S: SnapshotSource> LdpService<S> {
@@ -254,15 +395,16 @@ impl<S: SnapshotSource> LdpService<S> {
     }
 
     /// Absorbs a batch of decoded reports into one round-robin shard,
-    /// **all-or-nothing**: the batch is staged against a clone of the
-    /// shard and committed only if every report absorbs, so a rejected
-    /// batch can be retried or discarded without double-counting. This is
-    /// the transactional unit the network front end
-    /// ([`crate::net::LdpServer`]) acks per REPORT message.
+    /// **all-or-nothing**: the reports absorb straight into the locked
+    /// shard, and a refused report has every earlier one retracted before
+    /// the lock drops, so a rejected batch can be retried or discarded
+    /// without double-counting. This is the transactional unit the
+    /// network front end ([`crate::net::LdpServer`]) acks per REPORT
+    /// message.
     ///
-    /// Because every mechanism's state is an integer sum, the staged
-    /// clone-and-swap leaves state bit-identical to absorbing the same
-    /// reports through [`LdpService::submit`] one at a time.
+    /// Because every mechanism's state is an integer sum, the result is
+    /// bit-identical to absorbing the same reports through
+    /// [`LdpService::submit`] one at a time.
     ///
     /// # Errors
     ///
@@ -272,42 +414,36 @@ impl<S: SnapshotSource> LdpService<S> {
         if reports.is_empty() {
             return Ok(());
         }
-        let started = self.obs.get().map(|_| Instant::now());
-        let result = self.submit_batch_inner(reports);
-        if let (Some(obs), Some(started)) = (self.obs.get(), started) {
-            obs.shard.absorb_ns.record_elapsed(started);
-            match &result {
-                Ok(()) => obs.shard.frames_accepted.add(reports.len() as u64),
-                Err(_) => obs.shard.frames_rejected.add(reports.len() as u64),
-            }
-        }
-        result
+        self.submit_in_place(reports, reports.len() as u64, absorb_untagged)
+            .map(drop)
     }
 
-    fn submit_batch_inner(&self, reports: &[S::Report]) -> Result<(), ServiceError> {
-        let k = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let mut shard = lock(&self.shards[k], "shard")?;
-        let mut staged = shard.clone();
-        for (i, report) in reports.iter().enumerate() {
-            staged.absorb(report).map_err(|e| ServiceError::BadFrame {
-                index: i,
-                report_type: crate::error::report_type_name::<S::Report>(),
-                source: Box::new(e.into()),
-            })?;
+    /// [`LdpService::submit_batch`] over decoded `(epoch tag, report)`
+    /// pairs, ignoring the tags exactly as
+    /// [`LdpService::submit_wire_batch`] does — how the durable tier
+    /// absorbs a batch it decoded outside its WAL lock into a plain
+    /// backend.
+    pub(crate) fn submit_batch_ignoring_tags(
+        &self,
+        reports: &[(Option<u64>, S::Report)],
+    ) -> Result<(), ServiceError> {
+        if reports.is_empty() {
+            return Ok(());
         }
-        *shard = staged;
-        self.dirty[k].fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.submit_in_place(reports, reports.len() as u64, absorb_untagged)
+            .map(drop)
     }
 
     /// Absorbs a REPORT batch straight from its raw wire bytes into one
     /// round-robin shard, **all-or-nothing** like
     /// [`LdpService::submit_batch`], without materializing the decoded
     /// batch: each frame is decoded from its borrowed subslice of
-    /// `frames` and absorbed into the staged clone immediately, so the
-    /// batch machinery does O(1) allocations however many frames the
-    /// message carries. Epoch tags (v2 frames) are ignored, exactly as
-    /// the collecting network path ignored them for unwindowed backends.
+    /// `frames` and absorbed into the locked shard immediately (a refused
+    /// frame's predecessors are decoded again from the same bytes and
+    /// retracted), so the batch machinery does O(1) allocations however
+    /// many frames the message carries. Epoch tags (v2 frames) are
+    /// ignored, exactly as the collecting network path ignored them for
+    /// unwindowed backends.
     ///
     /// Returns the number of frames absorbed (always `count` on success).
     ///
@@ -328,45 +464,56 @@ impl<S: SnapshotSource> LdpService<S> {
         if count == 0 && frames.is_empty() {
             return Ok(0);
         }
-        let started = self.obs.get().map(|_| Instant::now());
-        let k = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let result = (|| {
-            let mut shard = lock(&self.shards[k], "shard")?;
-            let mut staged = shard.clone();
-            let absorbed =
-                crate::wire::for_each_frame(wire_version, count, frames, |_epoch, report| {
-                    staged.absorb(&report).map_err(Into::into)
-                })?;
-            *shard = staged;
-            self.dirty[k].fetch_add(1, Ordering::Relaxed);
-            Ok(absorbed)
-        })();
-        self.observe_wire_batch(&result, count, frames.len(), started);
-        result
+        let batch = WireFrames {
+            wire_version,
+            count,
+            frames,
+        };
+        self.submit_in_place(
+            &batch,
+            plausible_frames(count, frames.len()),
+            absorb_untagged,
+        )
     }
 
-    /// Shard-tier accounting for the streaming batch paths, mirroring
-    /// [`LdpService::submit_batch`]: all-or-nothing, with the rejected
-    /// count bounded by what the payload could physically hold (the
-    /// smallest frame is 5 bytes) so a lying count cannot inflate an
-    /// operator-visible counter.
-    fn observe_wire_batch(
+    /// Counts a wire batch refused before it reached a shard (the durable
+    /// tier decodes ahead of its WAL lock) into `frames_rejected`, as
+    /// [`LdpService::submit_wire_batch`] would have counted it.
+    pub(crate) fn count_refused_wire_batch(&self, count: u64, payload_len: usize) {
+        if let Some(obs) = self.obs.get() {
+            obs.shard
+                .frames_rejected
+                .add(plausible_frames(count, payload_len));
+        }
+    }
+
+    /// The body of every batch method: [`absorb_in_place`] into the next
+    /// round-robin shard under its lock, a dirty-counter bump if the batch
+    /// committed, and shard-tier accounting (`rejected` frames on error).
+    fn submit_in_place<B>(
         &self,
-        result: &Result<u64, ServiceError>,
-        count: u64,
-        payload_len: usize,
-        started: Option<Instant>,
-    ) {
+        batch: &B,
+        rejected: u64,
+        absorb: impl FnMut(&mut S, Option<u64>, &S::Report) -> Result<(), ServiceError>,
+    ) -> Result<u64, ServiceError>
+    where
+        B: Batch<S::Report> + ?Sized,
+    {
+        let started = self.obs.get().map(|_| Instant::now());
+        let k = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
+        let result = lock(&self.shards[k], "shard").and_then(|mut shard| {
+            let absorbed = absorb_in_place(&mut *shard, batch, absorb)?;
+            self.dirty[k].fetch_add(1, Ordering::Relaxed);
+            Ok(absorbed)
+        });
         if let (Some(obs), Some(started)) = (self.obs.get(), started) {
             obs.shard.absorb_ns.record_elapsed(started);
-            match result {
+            match &result {
                 Ok(absorbed) => obs.shard.frames_accepted.add(*absorbed),
-                Err(_) => obs
-                    .shard
-                    .frames_rejected
-                    .add(count.min(payload_len as u64 / 5)),
+                Err(_) => obs.shard.frames_rejected.add(rejected),
             }
         }
+        result
     }
 
     /// Total reports across all shards right now (racy by nature while
@@ -670,9 +817,9 @@ where
     /// Absorbs a batch of epoch-tagged reports (`None` = untagged v1
     /// frame) into one round-robin shard, **all-or-nothing** like
     /// [`LdpService::submit_batch`]: tags are checked against the open
-    /// epoch and the whole batch is staged before committing, so a stale
-    /// straggler anywhere in the batch rejects it without any partial
-    /// absorb.
+    /// epoch as each report absorbs into the locked shard's open epoch,
+    /// so a stale straggler anywhere in the batch rejects it, with every
+    /// earlier report retracted before the shard lock drops.
     ///
     /// # Errors
     ///
@@ -686,37 +833,8 @@ where
         if reports.is_empty() {
             return Ok(());
         }
-        let started = self.obs.get().map(|_| Instant::now());
-        let result = self.submit_epoch_batch_inner(reports);
-        if let (Some(obs), Some(started)) = (self.obs.get(), started) {
-            obs.shard.absorb_ns.record_elapsed(started);
-            match &result {
-                Ok(()) => obs.shard.frames_accepted.add(reports.len() as u64),
-                Err(_) => obs.shard.frames_rejected.add(reports.len() as u64),
-            }
-        }
-        result
-    }
-
-    fn submit_epoch_batch_inner(
-        &self,
-        reports: &[(Option<u64>, S::Report)],
-    ) -> Result<(), ServiceError> {
-        let k = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let mut shard = lock(&self.shards[k], "shard")?;
-        let mut staged = shard.clone();
-        for (i, (epoch, report)) in reports.iter().enumerate() {
-            staged
-                .absorb_tagged(*epoch, report)
-                .map_err(|e| ServiceError::BadFrame {
-                    index: i,
-                    report_type: crate::error::report_type_name::<S::Report>(),
-                    source: Box::new(e),
-                })?;
-        }
-        *shard = staged;
-        self.dirty[k].fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.submit_in_place(reports, reports.len() as u64, absorb_in_open_epoch)
+            .map(drop)
     }
 
     /// Absorbs a REPORT batch straight from its raw wire bytes into one
@@ -725,7 +843,7 @@ where
     /// decoded batch — the windowed twin of
     /// [`LdpService::submit_wire_batch`]. Epoch tags are checked against
     /// the open epoch as each frame is decoded from its borrowed subslice
-    /// of `frames` and absorbed into the staged clone.
+    /// of `frames` and absorbed into the locked shard.
     ///
     /// Returns the number of frames absorbed (always `count` on success).
     ///
@@ -747,21 +865,16 @@ where
         if count == 0 && frames.is_empty() {
             return Ok(0);
         }
-        let started = self.obs.get().map(|_| Instant::now());
-        let k = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let result = (|| {
-            let mut shard = lock(&self.shards[k], "shard")?;
-            let mut staged = shard.clone();
-            let absorbed =
-                crate::wire::for_each_frame(wire_version, count, frames, |epoch, report| {
-                    staged.absorb_tagged(epoch, &report)
-                })?;
-            *shard = staged;
-            self.dirty[k].fetch_add(1, Ordering::Relaxed);
-            Ok(absorbed)
-        })();
-        self.observe_wire_batch(&result, count, frames.len(), started);
-        result
+        let batch = WireFrames {
+            wire_version,
+            count,
+            frames,
+        };
+        self.submit_in_place(
+            &batch,
+            plausible_frames(count, frames.len()),
+            absorb_in_open_epoch,
+        )
     }
 
     /// Merges the shard rings and freezes the trailing `epochs` sealed

@@ -200,11 +200,7 @@ impl<S: MergeableServer> ShardedAggregator<S> {
     }
 
     fn bad_frame((index, error): (usize, ServiceError)) -> ServiceError {
-        ServiceError::BadFrame {
-            index,
-            report_type: crate::error::report_type_name::<S::Report>(),
-            source: Box::new(error),
-        }
+        crate::error::bad_frame::<S::Report>(index, error)
     }
 
     /// Folds every shard into one server — exactly the state of a

@@ -34,9 +34,10 @@
 
 use std::path::Path;
 
-use ldp_ranges::{PersistableServer, StateReader, SubtractableServer};
+use ldp_ranges::{MergeableServer, PersistableServer, StateReader, SubtractableServer};
 
 use crate::error::ServiceError;
+use crate::service::{absorb_in_open_epoch, absorb_in_place, absorb_untagged, WireFrames};
 use crate::snapshot::SnapshotSource;
 use crate::storage::{checkpoint, wal};
 use crate::window::EpochRing;
@@ -278,19 +279,28 @@ fn load_checkpoint(dir: &Path) -> Result<Option<checkpoint::Checkpoint>, Service
     }
 }
 
-/// Decodes one FRAMES payload through the *same* batch decoder live
-/// ingestion uses ([`crate::storage::store::decode_batch`]), so replay
-/// accepts and rejects exactly what the live service would. The caller
-/// applies the decoded reports to a staged clone and commits only if
-/// every frame absorbs — the same all-or-nothing record semantics the
-/// live `submit_batch` paths have, so a rejected record leaves no
-/// partial absorption behind.
-fn decode_frames_record<R: WireReport>(
+/// Re-absorbs one FRAMES payload through the *same* in-place batch
+/// primitive live ingestion uses ([`crate::service::absorb_in_place`]),
+/// decoding each frame from the record's borrowed bytes: replay accepts
+/// and rejects exactly what the live service would, with the same
+/// all-or-nothing record semantics — a rejected record has its absorbed
+/// frames retracted, so `state` is left exactly as the prefix before it.
+fn replay_frames<S: MergeableServer>(
+    state: &mut S,
     wire_version: u8,
     count: u64,
     frames: &[u8],
-) -> Result<Vec<(Option<u64>, R)>, String> {
-    crate::storage::store::decode_batch::<R>(wire_version, count, frames).map_err(|e| e.to_string())
+    absorb: impl FnMut(&mut S, Option<u64>, &S::Report) -> Result<(), ServiceError>,
+) -> ApplyResult
+where
+    S::Report: WireReport,
+{
+    let batch = WireFrames {
+        wire_version,
+        count,
+        frames,
+    };
+    absorb_in_place(state, &batch, absorb).map_err(|e| e.to_string())
 }
 
 /// Recovers a *plain* (all-time) server from `dir`: newest valid
@@ -331,15 +341,7 @@ where
             if *wire_version != crate::wire::VERSION {
                 return Err("epoch-tagged FRAMES record in an unwindowed log".to_string());
             }
-            let reports = decode_frames_record::<S::Report>(*wire_version, *count, frames)?;
-            let mut staged = state.clone();
-            for (i, (_, report)) in reports.iter().enumerate() {
-                staged
-                    .absorb(report)
-                    .map_err(|e| format!("frame {i} rejected: {e}"))?;
-            }
-            state = staged;
-            Ok(reports.len() as u64)
+            replay_frames(&mut state, *wire_version, *count, frames, absorb_untagged)
         }
         wal::WalRecord::Seal { .. } => Err("SEAL record in an unwindowed log".to_string()),
         wal::WalRecord::Checkpoint { .. } => Ok(0),
@@ -395,17 +397,13 @@ where
             wire_version,
             count,
             frames,
-        } => {
-            let reports = decode_frames_record::<S::Report>(*wire_version, *count, frames)?;
-            let mut staged = ring.clone();
-            for (i, (epoch, report)) in reports.iter().enumerate() {
-                staged
-                    .absorb_tagged(*epoch, report)
-                    .map_err(|e| format!("frame {i} rejected: {e}"))?;
-            }
-            ring = staged;
-            Ok(reports.len() as u64)
-        }
+        } => replay_frames(
+            &mut ring,
+            *wire_version,
+            *count,
+            frames,
+            absorb_in_open_epoch,
+        ),
         wal::WalRecord::Seal { epoch } => {
             let sealed = ring.seal_epoch().map_err(|e| e.to_string())?;
             if sealed != *epoch {
@@ -429,4 +427,215 @@ where
             safe_to_resume: outcome.safe_to_resume,
         },
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Write;
+
+    use ldp_freq_oracle::{Epsilon, FrequencyOracle};
+    use ldp_ranges::{HhClient, HhConfig, HhReport, HhServer, MergeableServer};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    use super::*;
+    use crate::loadgen::EncodedStream;
+    use crate::storage::{scratch_dir, DurableConfig, DurableService};
+    use crate::wire::{VERSION, VERSION_EPOCH};
+
+    /// What frame `k` of the rejected record is.
+    #[derive(Debug, Clone, Copy)]
+    enum Refusal {
+        /// A report from a configuration with another level oracle.
+        Foreign,
+        /// Bytes no decoder accepts.
+        Malformed,
+        /// An honest report tagged with a sealed epoch (windowed only).
+        StaleEpoch,
+    }
+
+    fn bytes<S: PersistableServer>(state: &S) -> Vec<u8> {
+        let mut out = Vec::new();
+        state.persist_state(&mut out);
+        out
+    }
+
+    fn wal_bytes(dir: &Path) -> Vec<u8> {
+        wal::list_segments(dir)
+            .unwrap()
+            .iter()
+            .flat_map(|(_, path)| std::fs::read(path).unwrap())
+            .collect()
+    }
+
+    /// Appends one CRC-valid record to the newest segment, exactly as the
+    /// live service would have framed it.
+    fn append_raw(dir: &Path, record: &wal::WalRecord) {
+        let (_, path) = wal::list_segments(dir).unwrap().pop().unwrap();
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(path)
+            .unwrap()
+            .write_all(&record.encode_framed())
+            .unwrap();
+    }
+
+    fn frames(reports: &[HhReport], epoch: Option<u64>) -> EncodedStream {
+        let mut stream = EncodedStream::new();
+        for r in reports {
+            match epoch {
+                Some(e) => stream.push_epoch(r, e),
+                None => stream.push(r),
+            }
+        }
+        stream
+    }
+
+    fn record(stream: &EncodedStream, windowed: bool) -> wal::WalRecord {
+        wal::WalRecord::Frames {
+            wire_version: if windowed { VERSION_EPOCH } else { VERSION },
+            count: stream.len() as u64,
+            frames: stream.as_bytes().to_vec(),
+        }
+    }
+
+    /// Logs good batches through a durable service, crashes it, then
+    /// appends a CRC-valid FRAMES record whose frame `k > 0` the state
+    /// machine refuses (and a good record after it). Recovery must stop
+    /// at that record with the state of the prefix before it, bit for
+    /// bit — the frames it absorbed before `k` retracted — and refuse to
+    /// resume, leaving the log untouched.
+    fn check_rejected_record(windowed: bool, refusal: Refusal, seed: u64) {
+        const WINDOW: usize = 2;
+        let eps = Epsilon::new(1.1);
+        let config = HhConfig::new(64, 4, eps).unwrap();
+        let client = HhClient::new(config.clone()).unwrap();
+        let foreign =
+            HhClient::new(HhConfig::with_oracle(64, 4, eps, FrequencyOracle::Hrr).unwrap())
+                .unwrap();
+        let prototype = HhServer::new(config).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut honest = |n: usize| -> Vec<HhReport> {
+            (0..n)
+                .map(|i| client.report((i * 7) % 64, &mut rng).unwrap())
+                .collect()
+        };
+        let durable_config = DurableConfig {
+            num_shards: 2,
+            ..DurableConfig::default()
+        };
+        let what = format!("windowed={windowed} {refusal:?}");
+
+        let dir = scratch_dir("recovery-rejected").unwrap();
+        let mut expected_plain = prototype.clone();
+        let mut expected_ring = EpochRing::new(&prototype, WINDOW).unwrap();
+        let mut open = None;
+        {
+            let durable = if windowed {
+                DurableService::open_windowed(&dir, &prototype, WINDOW, durable_config.clone())
+            } else {
+                DurableService::open(&dir, &prototype, durable_config.clone())
+            }
+            .unwrap()
+            .0;
+            for _ in 0..3 {
+                if windowed {
+                    let sealed = expected_ring.seal_epoch().unwrap();
+                    assert_eq!(durable.seal_epoch().unwrap(), sealed);
+                    open = Some(sealed + 1);
+                }
+                let good = honest(30);
+                let stream = frames(&good, open);
+                durable
+                    .ingest_batch(record_version(windowed), 30, stream.as_bytes())
+                    .unwrap();
+                for r in &good {
+                    expected_plain.absorb(r).unwrap();
+                    MergeableServer::absorb(&mut expected_ring, r).unwrap();
+                }
+            }
+        } // crash: no finalize, no checkpoint
+
+        let k = 17;
+        let mut stream = frames(&honest(k), open);
+        match refusal {
+            Refusal::Foreign => {
+                let r = foreign.report(5, &mut StdRng::seed_from_u64(seed)).unwrap();
+                match open {
+                    Some(e) => stream.push_epoch(&r, e),
+                    None => stream.push(&r),
+                }
+            }
+            Refusal::Malformed => stream.push_raw(b"XX\x01\x00\x00\x00"),
+            Refusal::StaleEpoch => {
+                let stale = open.expect("stale tags need a windowed log") - 1;
+                stream.push_epoch(&honest(1)[0], stale);
+            }
+        }
+        for r in &honest(8) {
+            match open {
+                Some(e) => stream.push_epoch(r, e),
+                None => stream.push(r),
+            }
+        }
+        append_raw(&dir, &record(&stream, windowed));
+        append_raw(&dir, &record(&frames(&honest(5), open), windowed));
+        let log = wal_bytes(&dir);
+
+        let (state, expected, report) = if windowed {
+            let (ring, report) = recover_windowed(&dir, &prototype, WINDOW).unwrap();
+            (bytes(&ring), bytes(&expected_ring), report)
+        } else {
+            let (server, report) = recover_plain(&dir, &prototype).unwrap();
+            (bytes(&server), bytes(&expected_plain), report)
+        };
+        assert_eq!(state, expected, "{what}: recovered state ≠ prefix");
+        assert_eq!(report.frames_replayed, 90, "{what}: frames replayed");
+        assert!(
+            matches!(&report.tail, TailStatus::Torn { reason, .. } if reason.contains(&format!("frame {k} of"))),
+            "{what}: tail {:?}",
+            report.tail
+        );
+        assert!(
+            !report.safe_to_resume,
+            "{what}: a rejected record must not be truncated"
+        );
+        let reopened = if windowed {
+            DurableService::open_windowed(&dir, &prototype, WINDOW, durable_config)
+        } else {
+            DurableService::open(&dir, &prototype, durable_config)
+        };
+        assert!(
+            reopened.is_err(),
+            "{what}: open must refuse a rejected record"
+        );
+        assert_eq!(
+            wal_bytes(&dir),
+            log,
+            "{what}: the refused open touched the log"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn record_version(windowed: bool) -> u8 {
+        if windowed {
+            VERSION_EPOCH
+        } else {
+            VERSION
+        }
+    }
+
+    #[test]
+    fn a_rejected_record_recovers_the_prefix_and_refuses_to_resume() {
+        for (seed, refusal) in [(1, Refusal::Foreign), (2, Refusal::Malformed)] {
+            check_rejected_record(false, refusal, seed);
+        }
+        for (seed, refusal) in [
+            (3, Refusal::Foreign),
+            (4, Refusal::Malformed),
+            (5, Refusal::StaleEpoch),
+        ] {
+            check_rejected_record(true, refusal, seed);
+        }
+    }
 }

@@ -35,9 +35,9 @@ use crate::window::{EpochRing, WindowedSnapshot};
 use crate::wire::{WireReport, VERSION_EPOCH};
 
 /// Reports decoded ahead of the WAL lock from one replicated FRAMES
-/// record — each paired with its optional epoch tag — or `None` when the
-/// record is not FRAMES (SEAL/CHECKPOINT decode nothing).
-type DecodedRun<R> = Option<Vec<(Option<u64>, R)>>;
+/// record, each paired with its optional epoch tag (empty for SEAL and
+/// CHECKPOINT records, which decode nothing).
+type DecodedFrames<R> = Vec<(Option<u64>, R)>;
 
 /// Sentinel for "no checkpoint taken yet" in the atomic id cell.
 const NO_CHECKPOINT: u64 = u64::MAX;
@@ -243,9 +243,10 @@ struct WalInner {
 }
 
 /// Decodes a REPORT-style batch (back-to-back raw wire frames) under a
-/// negotiated wire version, validating the declared count. Shared by the
-/// durable ingest path and the network front end so both reject hostile
-/// batches identically.
+/// negotiated wire version, validating the declared count — on the same
+/// frame walker as the in-place socket path, so both reject hostile
+/// batches identically. Durable ingest and follower apply decode here,
+/// before they take the WAL lock, and absorb the decoded slice under it.
 ///
 /// # Errors
 ///
@@ -514,18 +515,12 @@ where
         count: u64,
         frames: &[u8],
     ) -> Result<u64, ServiceError> {
-        if wire_version == VERSION_EPOCH && !self.is_windowed() {
-            return Err(crate::error::WireError::UnsupportedVersion(wire_version).into());
-        }
-        let reports = decode_batch::<S::Report>(wire_version, count, frames)?;
+        let reports = self.decode_frames(wire_version, count, frames)?;
         let n = reports.len() as u64;
         let mut wal = self.lock_wal()?;
         self.check_wedged()?;
         match &self.backend {
-            DurableBackend::Plain(s) => {
-                let plain: Vec<S::Report> = reports.into_iter().map(|(_, r)| r).collect();
-                s.submit_batch(&plain)?;
-            }
+            DurableBackend::Plain(s) => s.submit_batch_ignoring_tags(&reports)?,
             DurableBackend::Windowed(s) => s.submit_epoch_batch(&reports)?,
         }
         // Zero-copy append: the raw frame bytes go straight from the
@@ -762,133 +757,149 @@ where
     }
 
     /// Applies a *run* of replicated WAL records under **one** WAL lock —
-    /// the follower's group-commit path. Adjacent FRAMES records absorb
-    /// through a single staged-clone commit (one shard clone for the whole
-    /// run instead of one per record), then each record is appended with
-    /// its original framing so the follower's log still mirrors the
-    /// leader's record for record; SEAL records seal and log at their
-    /// original positions between the runs, and a CHECKPOINT record is
-    /// appended as a marker only (the follower checkpoints on its own
-    /// schedule, which for a live follower is never). Each element pairs
-    /// the leader-assigned record position with the record so per-record
+    /// the follower's group-commit path. Each FRAMES record absorbs
+    /// all-or-nothing in place (decoded before the lock is taken) and is
+    /// then appended with its original framing, so the follower's log
+    /// mirrors the leader's record for record; SEAL records seal and log
+    /// at their original positions, and a CHECKPOINT record is appended
+    /// as a marker only (the follower checkpoints on its own schedule,
+    /// which for a live follower is never). Each element pairs the
+    /// leader-assigned record position with the record so per-record
     /// `WalAppend` trace spans stay correct.
     ///
-    /// All-or-nothing per run: if a run is rejected, none of its records
-    /// reached state or log, and records *before* it in `records` are
-    /// already applied and appended — the caller's position (its own log
-    /// length) stays truthful either way.
+    /// All-or-nothing per record: a rejected record (refused by the
+    /// decoder or by the state machine) reached neither state nor log, and
+    /// every record *before* it in `records` is applied and appended.
     ///
     /// # Errors
     ///
     /// As [`DurableService::ingest_batch`] / [`DurableService::seal_epoch`];
     /// a SEAL naming a different epoch than the follower's ring sealed
-    /// surfaces as corrupt state (the logs have diverged).
+    /// surfaces as corrupt state (the logs have diverged). The error comes
+    /// with the number of records applied and appended before it, so the
+    /// caller's position (its own log length) stays truthful.
     pub(crate) fn apply_replicated_batch(
         &self,
         records: &[(u64, WalRecord)],
-    ) -> Result<(), ServiceError> {
-        // Decode every FRAMES payload before taking the lock.
-        let mut decoded: Vec<DecodedRun<S::Report>> = Vec::with_capacity(records.len());
+    ) -> Result<(), (usize, ServiceError)> {
+        // Decode every FRAMES payload before taking the lock. A record
+        // that fails to decode ends the run: the records before it are
+        // still applied below, then its error is returned.
+        let mut decoded: Vec<DecodedFrames<S::Report>> = Vec::with_capacity(records.len());
+        let mut refused = None;
         for (_, record) in records {
-            decoded.push(match record {
+            let reports = match record {
                 WalRecord::Frames {
                     wire_version,
                     count,
                     frames,
-                } => {
-                    if *wire_version == VERSION_EPOCH && !self.is_windowed() {
-                        return Err(
-                            crate::error::WireError::UnsupportedVersion(*wire_version).into()
-                        );
-                    }
-                    Some(decode_batch::<S::Report>(*wire_version, *count, frames)?)
-                }
-                _ => None,
-            });
-        }
-        let mut wal = self.lock_wal()?;
-        self.check_wedged()?;
-        let mut i = 0;
-        while i < records.len() {
-            match &records[i].1 {
-                WalRecord::Frames { .. } => {
-                    let start = i;
-                    let mut reports = Vec::new();
-                    while i < records.len() && decoded[i].is_some() {
-                        reports.append(decoded[i].as_mut().expect("run holds decoded frames"));
-                        i += 1;
-                    }
-                    set_current_span(Some(records[start].0));
-                    match &self.backend {
-                        DurableBackend::Plain(s) => {
-                            let plain: Vec<S::Report> =
-                                reports.into_iter().map(|(_, r)| r).collect();
-                            s.submit_batch(&plain)?;
-                        }
-                        DurableBackend::Windowed(s) => s.submit_epoch_batch(&reports)?,
-                    }
-                    for (position, record) in &records[start..i] {
-                        let WalRecord::Frames {
-                            wire_version,
-                            count,
-                            frames,
-                        } = record
-                        else {
-                            unreachable!("run holds only FRAMES records");
-                        };
-                        set_current_span(Some(*position));
-                        let started = Instant::now();
-                        if let Err(e) = wal.writer.append_frames(*wire_version, *count, frames) {
-                            self.obs.wedged.set(1);
-                            return Err(e.into());
-                        }
-                        self.obs.append_ns.record_elapsed(started);
-                        self.trace_append(started);
-                        self.obs.batch_frames.record(*count);
-                        self.obs.wal_records.incr();
-                        self.obs.wal_frames.add(*count);
-                        wal.records_since_checkpoint += 1;
-                        self.notify_repl(&mut wal);
-                    }
-                }
-                WalRecord::Seal { epoch } => {
-                    let DurableBackend::Windowed(s) = &self.backend else {
-                        return Err(ServiceError::NotWindowed);
-                    };
-                    set_current_span(Some(records[i].0));
-                    let sealed = s.seal_epoch()?;
-                    if sealed != *epoch {
-                        return Err(ServiceError::Range(ldp_ranges::RangeError::CorruptState(
-                            "replicated SEAL names a different epoch than the follower sealed \
-                             — the logs have diverged",
-                        )));
-                    }
-                    let started = Instant::now();
-                    if let Err(e) = wal.writer.append(&WalRecord::Seal { epoch: *epoch }) {
-                        self.obs.wedged.set(1);
-                        return Err(e.into());
-                    }
-                    self.obs.append_ns.record_elapsed(started);
-                    self.trace_append(started);
-                    self.obs.wal_records.incr();
-                    wal.records_since_checkpoint += 1;
-                    self.notify_repl(&mut wal);
-                    i += 1;
-                }
-                WalRecord::Checkpoint { id } => {
-                    set_current_span(Some(records[i].0));
-                    if let Err(e) = wal.writer.append(&WalRecord::Checkpoint { id: *id }) {
-                        self.obs.wedged.set(1);
-                        return Err(e.into());
-                    }
-                    self.obs.wal_records.incr();
-                    self.notify_repl(&mut wal);
-                    i += 1;
+                } => self.decode_frames(*wire_version, *count, frames),
+                _ => Ok(Vec::new()),
+            };
+            match reports {
+                Ok(reports) => decoded.push(reports),
+                Err(e) => {
+                    refused = Some(e);
+                    break;
                 }
             }
         }
+        let mut wal = self.lock_wal().map_err(|e| (0, e))?;
+        self.check_wedged().map_err(|e| (0, e))?;
+        for (applied, ((position, record), reports)) in records.iter().zip(&decoded).enumerate() {
+            set_current_span(Some(*position));
+            self.apply_replicated_record(&mut wal, record, reports)
+                .map_err(|e| (applied, e))?;
+        }
         self.maybe_auto_checkpoint(&mut wal);
+        refused.map_or(Ok(()), |e| Err((decoded.len(), e)))
+    }
+
+    /// Applies and logs one replicated record under the WAL lock (see
+    /// [`DurableService::apply_replicated_batch`]); `reports` holds a
+    /// FRAMES record's decoded frames.
+    fn apply_replicated_record(
+        &self,
+        wal: &mut WalInner,
+        record: &WalRecord,
+        reports: &DecodedFrames<S::Report>,
+    ) -> Result<(), ServiceError> {
+        match record {
+            WalRecord::Frames {
+                wire_version,
+                count,
+                frames,
+            } => {
+                match &self.backend {
+                    DurableBackend::Plain(s) => s.submit_batch_ignoring_tags(reports)?,
+                    DurableBackend::Windowed(s) => s.submit_epoch_batch(reports)?,
+                }
+                let started = Instant::now();
+                if let Err(e) = wal.writer.append_frames(*wire_version, *count, frames) {
+                    self.obs.wedged.set(1);
+                    return Err(e.into());
+                }
+                self.obs.append_ns.record_elapsed(started);
+                self.trace_append(started);
+                self.obs.batch_frames.record(*count);
+                self.obs.wal_records.incr();
+                self.obs.wal_frames.add(*count);
+                wal.records_since_checkpoint += 1;
+                self.notify_repl(wal);
+            }
+            WalRecord::Seal { epoch } => {
+                let DurableBackend::Windowed(s) = &self.backend else {
+                    return Err(ServiceError::NotWindowed);
+                };
+                let sealed = s.seal_epoch()?;
+                if sealed != *epoch {
+                    return Err(ServiceError::Range(ldp_ranges::RangeError::CorruptState(
+                        "replicated SEAL names a different epoch than the follower sealed \
+                         — the logs have diverged",
+                    )));
+                }
+                let started = Instant::now();
+                if let Err(e) = wal.writer.append(&WalRecord::Seal { epoch: *epoch }) {
+                    self.obs.wedged.set(1);
+                    return Err(e.into());
+                }
+                self.obs.append_ns.record_elapsed(started);
+                self.trace_append(started);
+                self.obs.wal_records.incr();
+                wal.records_since_checkpoint += 1;
+                self.notify_repl(wal);
+            }
+            WalRecord::Checkpoint { id } => {
+                if let Err(e) = wal.writer.append(&WalRecord::Checkpoint { id: *id }) {
+                    self.obs.wedged.set(1);
+                    return Err(e.into());
+                }
+                self.obs.wal_records.incr();
+                self.notify_repl(wal);
+            }
+        }
         Ok(())
+    }
+
+    /// Decodes one batch of raw wire frames ahead of the WAL lock. A
+    /// refused frame is counted in the shard tier's `frames_rejected`,
+    /// exactly as an in-memory wire batch refused inside the shard would
+    /// be.
+    fn decode_frames(
+        &self,
+        wire_version: u8,
+        count: u64,
+        frames: &[u8],
+    ) -> Result<DecodedFrames<S::Report>, ServiceError> {
+        if wire_version == VERSION_EPOCH && !self.is_windowed() {
+            return Err(crate::error::WireError::UnsupportedVersion(wire_version).into());
+        }
+        decode_batch::<S::Report>(wire_version, count, frames).inspect_err(|_| {
+            match &self.backend {
+                DurableBackend::Plain(s) => s.count_refused_wire_batch(count, frames.len()),
+                DurableBackend::Windowed(s) => s.count_refused_wire_batch(count, frames.len()),
+            }
+        })
     }
 
     fn lock_wal(&self) -> Result<std::sync::MutexGuard<'_, WalInner>, ServiceError> {

@@ -224,15 +224,20 @@ impl<S: SubtractableServer> EpochRing<S> {
         epoch: Option<u64>,
         report: &S::Report,
     ) -> Result<(), ServiceError> {
-        if let Some(tag) = epoch {
-            if tag != self.current_id {
-                return Err(ServiceError::EpochMismatch {
-                    frame: tag,
-                    current: self.current_id,
-                });
-            }
-        }
+        self.check_epoch(epoch)?;
         self.absorb(report)
+    }
+
+    /// The tag rule of [`EpochRing::absorb_tagged`]: `None` or the open
+    /// epoch's id passes; any other tag is a stale or future frame.
+    pub(crate) fn check_epoch(&self, epoch: Option<u64>) -> Result<(), ServiceError> {
+        match epoch {
+            Some(tag) if tag != self.current_id => Err(ServiceError::EpochMismatch {
+                frame: tag,
+                current: self.current_id,
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// Closes the open epoch (even an empty one — idle periods are real
@@ -382,6 +387,14 @@ impl<S: SubtractableServer> MergeableServer for EpochRing<S> {
         // absorb through this trait, and shard-local report counts would
         // seal shards at different moments, breaking epoch alignment.
         Ok(())
+    }
+
+    /// Retracts from the open epoch. A report absorbed before the last
+    /// seal lives in a sealed epoch and cannot be retracted: the service
+    /// batch paths retract only within one shard-lock hold, during which
+    /// no seal can run (their rings seal manually, never on width).
+    fn retract(&mut self, report: &Self::Report) -> Result<(), RangeError> {
+        self.current.retract(report)
     }
 
     fn merge(&mut self, other: &Self) -> Result<(), RangeError> {

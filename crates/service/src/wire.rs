@@ -46,7 +46,7 @@
 use ldp_freq_oracle::{AnyReport, HrrReport, OlhReport, OueReport, UniversalHash};
 use ldp_ranges::{HaarHrrReport, HaarOueReport, Hh2dReport, HhReport, HhSplitReport};
 
-use crate::error::WireError;
+use crate::error::{bad_frame, ServiceError, WireError};
 
 /// First magic byte (`'L'`).
 pub const MAGIC: [u8; 2] = *b"LQ";
@@ -521,44 +521,59 @@ pub fn decode_all<T: WireReport>(mut buf: &[u8]) -> Result<Vec<T>, WireError> {
 /// # Errors
 ///
 /// A malformed frame, a count/payload mismatch, or a `sink` rejection
-/// surfaces as [`ServiceError::BadFrame`] with the offending index.
+/// surfaces as [`ServiceError::BadFrame`] whose index is the number of
+/// frames `sink` accepted before it.
 pub(crate) fn for_each_frame<R: WireReport>(
     wire_version: u8,
     count: u64,
     frames: &[u8],
-    mut sink: impl FnMut(Option<u64>, R) -> Result<(), crate::error::ServiceError>,
-) -> Result<u64, crate::error::ServiceError> {
-    let bad =
-        |index: usize, source: crate::error::ServiceError| crate::error::ServiceError::BadFrame {
-            index,
-            report_type: crate::error::report_type_name::<R>(),
-            source: Box::new(source),
-        };
-    let mut decoded = 0u64;
-    let mut buf = frames;
-    while !buf.is_empty() {
-        if decoded >= count {
-            return Err(bad(
-                count as usize,
-                WireError::Malformed("batch holds more frames than declared").into(),
-            ));
-        }
-        let index = decoded as usize;
-        let (epoch, report, used) = if wire_version == VERSION_EPOCH {
-            decode_epoch_frame::<R>(buf).map_err(|e| bad(index, e.into()))?
-        } else {
-            let (report, used) = decode_frame::<R>(buf).map_err(|e| bad(index, e.into()))?;
-            (None, report, used)
-        };
-        sink(epoch, report).map_err(|e| bad(index, e))?;
-        decoded += 1;
-        buf = &buf[used..];
+    sink: impl FnMut(Option<u64>, R) -> Result<(), ServiceError>,
+) -> Result<u64, ServiceError> {
+    let mut rest = frames;
+    let decoded = walk_frames(wire_version, count, &mut rest, sink)?;
+    if !rest.is_empty() {
+        return Err(bad_frame::<R>(
+            decoded as usize,
+            WireError::Malformed("batch holds more frames than declared").into(),
+        ));
     }
     if decoded < count {
-        return Err(bad(
+        return Err(bad_frame::<R>(
             decoded as usize,
             WireError::Malformed("batch declared more frames than it holds").into(),
         ));
+    }
+    Ok(decoded)
+}
+
+/// Decodes up to `limit` frames from the front of `buf`, advancing it
+/// past each one and handing each report to `sink`; stops early at the
+/// end of `buf`. Returns the number of frames decoded. This is also how
+/// an in-place absorb re-walks the prefix of a refused batch to retract
+/// it: the same bytes decode to the same reports.
+///
+/// # Errors
+///
+/// As [`for_each_frame`], minus the count/payload checks.
+pub(crate) fn walk_frames<R: WireReport>(
+    wire_version: u8,
+    limit: u64,
+    buf: &mut &[u8],
+    mut sink: impl FnMut(Option<u64>, R) -> Result<(), ServiceError>,
+) -> Result<u64, ServiceError> {
+    let mut decoded = 0u64;
+    while decoded < limit && !buf.is_empty() {
+        let index = decoded as usize;
+        let (epoch, report, used) = if wire_version == VERSION_EPOCH {
+            decode_epoch_frame::<R>(buf).map_err(|e| bad_frame::<R>(index, e.into()))?
+        } else {
+            let (report, used) =
+                decode_frame::<R>(buf).map_err(|e| bad_frame::<R>(index, e.into()))?;
+            (None, report, used)
+        };
+        sink(epoch, report).map_err(|e| bad_frame::<R>(index, e))?;
+        decoded += 1;
+        *buf = &buf[used..];
     }
     Ok(decoded)
 }
